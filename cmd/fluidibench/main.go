@@ -35,19 +35,17 @@ import (
 func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	quick := flag.Bool("quick", false, "use reduced workload sizes")
-	workers := flag.Int("workers", 0, "host threads per kernel launch for work-group execution (0 = GOMAXPROCS)")
 	parallel := flag.Int("parallel", 0, "concurrent experiment table cells (0 = GOMAXPROCS)")
 	jsonOut := flag.String("jsonout", "", "write per-table wall-clock times as JSON to this file")
 	traceOut := flag.String("trace", "", "run one benchmark under FluidiCL and write a Chrome trace_event JSON file here")
 	dist := flag.Bool("dist", false, "print the per-benchmark CPU/GPU work-distribution table (paper §5.5)")
-	backend := flag.String("backend", "", "work-group execution backend: interp, closure, or wg (default closure, or $FLUIDICL_BACKEND)")
+	backend := flag.String("backend", "", "work-group execution backend: interp, closure, or wg (default wg, or $FLUIDICL_BACKEND)")
 	wgfuse := flag.String("wgfuse", "", "fused wg block execution: on or off (default on, or $FLUIDICL_WG_FUSE)")
 	topology := flag.String("topology", "", "N-device topology for -trace, -dist and hash, e.g. cpu+gpu, 2cpu+2gpu, 4gpu-bus (default: the paper's cpu+gpu machine)")
 	flag.Usage = usage
 	flag.Parse()
 	args := flag.Args()
 
-	vm.SetWorkers(*workers)
 	switch *wgfuse {
 	case "":
 	case "on":
@@ -527,7 +525,7 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `fluidibench — regenerate the FluidiCL paper's tables and figures
 
 usage:
-  fluidibench [-csv] [-quick] [-workers N] [-parallel N] [-backend interp|closure|wg] [-wgfuse on|off] [-jsonout F] <experiment>|all
+  fluidibench [-csv] [-quick] [-parallel N] [-backend interp|closure|wg] [-wgfuse on|off] [-jsonout F] <experiment>|all
   fluidibench -trace out.json [-quick] [-topology T] <benchmark>   # Chrome trace_event JSON (chrome://tracing)
   fluidibench -dist [-quick] [-csv] [-topology T]   # work-distribution table (paper §5.5; per-device rows with -topology)
   fluidibench [-quick] [-topology T] hash   # benchmark output hashes (deterministic, topology-invariant)

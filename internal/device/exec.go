@@ -85,19 +85,7 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 	}
 	var fly []inflightWG
 	next := 0
-
-	// Host-parallel speculative execution: a worker pool interprets waves of
-	// upcoming work-groups concurrently, and the loop below consumes their
-	// buffered results in issue order, so every virtual time and every byte
-	// of memory is identical to the sequential path. eng is nil when the
-	// launch is too small to benefit, the worker knob is 1, or the argument
-	// list aliases (see vm.NewLaunchEngine).
-	var eng *vm.LaunchEngine
-	if w := vm.Workers(); w > 1 && n >= 4 {
-		eng, _ = vm.NewLaunchEngine(l.Kernel, l.ND, l.Args, vm.ExecOpts{Backend: l.Backend}, w, d.MemEpoch)
-	}
-	defer eng.Release()
-	argsChecked := eng != nil
+	argsChecked := false
 
 	settle := func() {
 		now := p.Now()
@@ -107,9 +95,6 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 				if u, ok := l.Abort.DoneSince(f.fgid, f.start); ok && u+d.Cfg.AbortNotice < f.end {
 					// Aborted mid-flight: CU freed early, stores undone.
 					if f.undo != nil {
-						if eng != nil {
-							eng.NoteUndo(f.undo)
-						}
 						f.undo.Rollback()
 					}
 					at := u + d.Cfg.AbortNotice
@@ -179,7 +164,6 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 		}
 		group := l.ND.GroupAt(next)
 		fgid := l.ND.FlatGroupID(group)
-		idx := next
 		next++
 		if l.Abort != nil && l.Abort.DoneAt(fgid, now) {
 			cuFree[cu] = now + d.Cfg.SkipCost
@@ -187,9 +171,8 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 			continue
 		}
 		if !argsChecked {
-			// Validate lazily, at the first group that actually executes —
-			// exactly where the sequential path first validated — so a launch
-			// whose every group is entry-skipped still reports no error.
+			// Validate lazily, at the first group that actually executes, so
+			// a launch whose every group is entry-skipped reports no error.
 			if err := l.Kernel.CheckArgs(l.Args); err != nil {
 				res.Err = err
 				return
@@ -200,18 +183,8 @@ func (d *Device) runLaunch(p *sim.Proc, l *Launch) {
 		if l.Abort != nil && l.MidAbort {
 			undo = &vm.UndoLog{}
 		}
-		var st vm.Stats
-		var err error
-		if eng != nil {
-			st, err = eng.Result(idx)
-			// Commit before the error check: the sequential path leaves a
-			// failing group's stores up to the fault applied in place, and
-			// the deferred log holds exactly those.
-			eng.Commit(idx, undo)
-		} else {
-			opts := vm.ExecOpts{Undo: undo, ArgsChecked: true, Backend: l.Backend}
-			st, err = l.Kernel.ExecWorkGroup(l.ND, group, l.Args, opts)
-		}
+		opts := vm.ExecOpts{Undo: undo, ArgsChecked: true, Backend: l.Backend}
+		st, err := l.Kernel.ExecWorkGroup(l.ND, group, l.Args, opts)
 		if err != nil {
 			res.Err = err
 			return

@@ -9,39 +9,35 @@ import (
 	"fluidicl/internal/core"
 	"fluidicl/internal/sched"
 	"fluidicl/internal/sim"
-	"fluidicl/internal/vm"
 )
 
-// renderWith runs one experiment at the given worker/parallel setting and
-// returns the rendered table.
-func renderWith(t *testing.T, id string, workers, parallel int) string {
+// renderWith runs one experiment with the given number of concurrent table
+// cells and returns the rendered table.
+func renderWith(t *testing.T, id string, parallel int) string {
 	t.Helper()
-	vm.SetWorkers(workers)
-	defer vm.SetWorkers(0)
 	r := NewRunner()
 	r.Quick = true
 	r.Parallel = parallel
 	tab, err := r.Run(id)
 	if err != nil {
-		t.Fatalf("%s (workers=%d, parallel=%d): %v", id, workers, parallel, err)
+		t.Fatalf("%s (parallel=%d): %v", id, parallel, err)
 	}
 	return tab.String()
 }
 
 // TestExperimentsDeterministicAcrossWorkers is the determinism regression
-// test: every virtual-time table must render identically whether work-groups
-// execute on one host thread or many, and whether table cells run
-// sequentially or concurrently.
+// test: every virtual-time table must render identically whether its cells
+// run sequentially on one host worker or concurrently on several.
 func TestExperimentsDeterministicAcrossWorkers(t *testing.T) {
 	ids := []string{"fig13"}
 	if !testing.Short() {
 		ids = []string{"fig2", "fig3", "table1", "table2", "fig13", "fig14"}
 	}
 	for _, id := range ids {
-		seq := renderWith(t, id, 1, 1)
-		par := renderWith(t, id, 4, 4)
+		seq := renderWith(t, id, 1)
+		par := renderWith(t, id, 4)
 		if seq != par {
-			t.Errorf("%s: table differs between sequential and parallel execution\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s", id, seq, par)
+			t.Errorf("%s: table differs between sequential and parallel cells\n--- parallel=1 ---\n%s\n--- parallel=4 ---\n%s", id, seq, par)
 		}
 	}
 }
@@ -63,30 +59,44 @@ func outputHash(outputs map[string][]byte) string {
 
 // TestFluidiCLOutputsByteIdenticalAcrossWorkers hashes the actual result
 // buffers of full FluidiCL runs (the cooperative CPU+GPU path, aborts,
-// rollbacks and merges included) under both worker counts.
+// rollbacks and merges included) run alone and run as concurrent host
+// workers sharing the benchmark's compiled kernels, the way parallel table
+// cells do.
 func TestFluidiCLOutputsByteIdenticalAcrossWorkers(t *testing.T) {
 	r := NewRunner()
 	r.Quick = true
+	const workers = 3
 	for _, b := range r.benchmarks() {
-		run := func(workers int) (string, sim.Time) {
-			vm.SetWorkers(workers)
-			defer vm.SetWorkers(0)
+		run := func() (string, sim.Time, error) {
 			res, err := sched.RunFluidiCL(r.M, b.App, core.Options{})
 			if err != nil {
-				t.Fatalf("%s (workers=%d): %v", b.Name, workers, err)
+				return "", 0, err
 			}
 			if err := b.Verify(res.Outputs); err != nil {
-				t.Fatalf("%s (workers=%d): %v", b.Name, workers, err)
+				return "", 0, err
 			}
-			return outputHash(res.Outputs), res.Time
+			return outputHash(res.Outputs), res.Time, nil
 		}
-		seqHash, seqTime := run(1)
-		parHash, parTime := run(8)
-		if seqHash != parHash {
-			t.Errorf("%s: output buffers differ between workers=1 and workers=8", b.Name)
+		seqHash, seqTime, err := run()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
 		}
-		if seqTime != parTime {
-			t.Errorf("%s: virtual time differs: seq=%v par=%v", b.Name, seqTime, parTime)
+		hashes := make([]string, workers)
+		times := make([]sim.Time, workers)
+		err = parallelFor(workers, workers, func(i int) (err error) {
+			hashes[i], times[i], err = run()
+			return err
+		})
+		if err != nil {
+			t.Fatalf("%s (concurrent): %v", b.Name, err)
+		}
+		for i := range hashes {
+			if hashes[i] != seqHash {
+				t.Errorf("%s: worker %d output buffers differ from the lone run", b.Name, i)
+			}
+			if times[i] != seqTime {
+				t.Errorf("%s: worker %d virtual time %v, lone run %v", b.Name, i, times[i], seqTime)
+			}
 		}
 		if t.Failed() {
 			break

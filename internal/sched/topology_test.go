@@ -6,6 +6,7 @@ package sched_test
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"fluidicl/internal/core"
@@ -126,29 +127,41 @@ func TestTopologyShapes(t *testing.T) {
 
 // TestTopologyWorkerCountInvariant pins host-parallelism independence: the
 // simulation's claim protocol and virtual clock must not observe how many
-// host threads execute work-groups.
+// host workers run topology simulations of one app at once (they share its
+// compiled kernels and their pooled scratch).
 func TestTopologyWorkerCountInvariant(t *testing.T) {
 	topo := device.MustParseTopology("2cpu+2gpu")
 	b, err := polybench.ByNameQuick("SYRK")
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *sched.Result {
-		vm.SetWorkers(workers)
-		defer vm.SetWorkers(0)
-		res, err := sched.RunTopology(topo, b.App, core.Options{})
-		if err != nil {
-			t.Fatal(err)
+	seq, err := sched.RunTopology(topo, b.App, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 3
+	par := make([]*sched.Result, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for i := range par {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			par[i], errs[i] = sched.RunTopology(topo, b.App, core.Options{})
+		}()
+	}
+	wg.Wait()
+	for i, res := range par {
+		if errs[i] != nil {
+			t.Fatalf("worker %d: %v", i, errs[i])
 		}
-		return res
-	}
-	seq, par := run(1), run(8)
-	if seq.Time != par.Time {
-		t.Fatalf("virtual time depends on host workers: %v vs %v", seq.Time, par.Time)
-	}
-	for out, want := range seq.Outputs {
-		if !bytes.Equal(par.Outputs[out], want) {
-			t.Fatalf("output %q depends on host workers", out)
+		if seq.Time != res.Time {
+			t.Fatalf("virtual time depends on host workers: %v vs %v", seq.Time, res.Time)
+		}
+		for out, want := range seq.Outputs {
+			if !bytes.Equal(res.Outputs[out], want) {
+				t.Fatalf("output %q depends on host workers", out)
+			}
 		}
 	}
 }

@@ -99,12 +99,9 @@ __kernel void scatter_columns(__global float* out, int n, int rows) {
 }
 
 // BenchmarkExecLaunch runs quick-scale Polybench apps end to end on each
-// backend. Sequential workers so the numbers measure the execution engine,
-// not goroutine scheduling; the acceptance bar is closure >= 1.5x interp on
-// at least two kernels.
+// backend; the acceptance bar is closure >= 1.5x interp on at least two
+// kernels.
 func BenchmarkExecLaunch(b *testing.B) {
-	vm.SetWorkers(1)
-	defer vm.SetWorkers(0)
 	for _, name := range []string{"SYRK", "GESUMMV", "2MM", "CORR", "SCATTER"} {
 		var launches []benchLaunch
 		if name == "SCATTER" {
@@ -115,7 +112,7 @@ func BenchmarkExecLaunch(b *testing.B) {
 		for _, be := range []vm.Backend{vm.BackendInterp, vm.BackendClosure, vm.BackendWG} {
 			b.Run(name+"/"+be.String(), func(b *testing.B) {
 				b.ReportAllocs()
-				// Warm the scratch/engine pools before measuring.
+				// Warm the scratch pools before measuring.
 				for _, l := range launches {
 					if _, err := l.k.ExecLaunch(l.nd, l.args, vm.ExecOpts{Backend: be}); err != nil {
 						b.Fatal(err)

@@ -34,7 +34,7 @@ const (
 	// over all work-items of the group against structure-of-arrays register
 	// banks (wg.go / wgexec.go). Kernels or launches the per-launch
 	// noninterference certificate cannot prove safe fall back to the closure
-	// path per work-group.
+	// path per work-group. It is the built-in default.
 	BackendWG
 )
 
@@ -68,12 +68,11 @@ func ParseBackend(s string) (Backend, error) {
 	return BackendAuto, fmt.Errorf("vm: unknown backend %q (want interp, closure or wg)", s)
 }
 
-// defaultBackend holds the process-wide backend (BackendInterp or
-// BackendClosure, never BackendAuto).
+// defaultBackend holds the process-wide backend (never BackendAuto).
 var defaultBackend atomic.Int32
 
 func init() {
-	b := BackendClosure
+	b := BackendWG
 	if p, err := ParseBackend(os.Getenv("FLUIDICL_BACKEND")); err == nil && p != BackendAuto {
 		b = p
 	}
@@ -81,17 +80,17 @@ func init() {
 }
 
 // DefaultBackend returns the process-wide backend that BackendAuto resolves
-// to. The default is BackendClosure, overridable with FLUIDICL_BACKEND.
+// to. The default is BackendWG, overridable with FLUIDICL_BACKEND.
 func DefaultBackend() Backend {
 	return Backend(defaultBackend.Load())
 }
 
 // SetBackend sets the process-wide default backend. BackendAuto resets to
-// the built-in default (closure). Safe to call concurrently; executions
-// already in progress keep the backend they resolved at entry.
+// the built-in default (wg). Safe to call concurrently; executions already
+// in progress keep the backend they resolved at entry.
 func SetBackend(b Backend) {
 	if b == BackendAuto {
-		b = BackendClosure
+		b = BackendWG
 	}
 	defaultBackend.Store(int32(b))
 }
@@ -244,7 +243,6 @@ type cmach struct {
 	// value is copied out before release.
 	stat Stats
 	st   *Stats
-	def  *DeferredWrites
 	undo *UndoLog
 
 	firstInWarp bool
@@ -258,7 +256,7 @@ type cmach struct {
 func (m *cmach) release() {
 	m.iregs, m.fregs, m.w = nil, nil, nil
 	m.args, m.locals, m.tr, m.st = nil, nil, nil, nil
-	m.def, m.undo, m.err = nil, nil, nil
+	m.undo, m.err = nil, nil
 }
 
 // runClos executes one work-item through the kernel's compiled closures
@@ -582,12 +580,6 @@ func (k *Kernel) stepLoadGlobal(pc int, in Instr, isF bool) stepFn {
 				return false
 			}
 			bits := binary.LittleEndian.Uint32(buf[off:])
-			if d := m.def; d != nil {
-				d.noteRead(slot, off)
-				if v, ok := d.lookup(slot, off); ok {
-					bits = v
-				}
-			}
 			m.fregs[a] = float64(math.Float32frombits(bits))
 			m.st.noteGlobalRead(slot)
 			m.st.GlobalLoads++
@@ -604,12 +596,6 @@ func (k *Kernel) stepLoadGlobal(pc int, in Instr, isF bool) stepFn {
 			return false
 		}
 		bits := binary.LittleEndian.Uint32(buf[off:])
-		if d := m.def; d != nil {
-			d.noteRead(slot, off)
-			if v, ok := d.lookup(slot, off); ok {
-				bits = v
-			}
-		}
 		m.iregs[a] = int64(int32(bits))
 		m.st.noteGlobalRead(slot)
 		m.st.GlobalLoads++
@@ -619,8 +605,7 @@ func (k *Kernel) stepLoadGlobal(pc int, in Instr, isF bool) stepFn {
 	}
 }
 
-// stepStoreGlobal compiles opSTGF/opSTGI, including the deferred-write and
-// undo-log paths.
+// stepStoreGlobal compiles opSTGF/opSTGI, including the undo-log path.
 func (k *Kernel) stepStoreGlobal(pc int, in Instr, isF bool) stepFn {
 	a, slot, c, memID := in.A, in.B, in.C, in.D
 	name := k.Params[slot].Name
@@ -637,16 +622,12 @@ func (k *Kernel) stepStoreGlobal(pc int, in Instr, isF bool) stepFn {
 		} else {
 			bits = uint32(int32(m.iregs[a]))
 		}
-		if d := m.def; d != nil {
-			d.store(slot, off, bits)
-		} else {
-			if u := m.undo; u != nil {
-				var old [4]byte
-				copy(old[:], buf[off:off+4])
-				u.recs = append(u.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
-			}
-			binary.LittleEndian.PutUint32(buf[off:], bits)
+		if u := m.undo; u != nil {
+			var old [4]byte
+			copy(old[:], buf[off:off+4])
+			u.recs = append(u.recs, UndoRecord{Buf: buf, Off: int(off), Old: old})
 		}
+		binary.LittleEndian.PutUint32(buf[off:], bits)
 		m.st.noteGlobalWrite(slot, off)
 		m.st.GlobalStores++
 		m.st.GlobalStoreBytes += 4

@@ -66,8 +66,8 @@ func TestSetBackend(t *testing.T) {
 		t.Fatalf("Auto resolved to %v with interp default", got)
 	}
 	SetBackend(BackendAuto) // resets to the built-in default
-	if DefaultBackend() != BackendClosure {
-		t.Fatal("SetBackend(auto) did not reset to closure")
+	if DefaultBackend() != BackendWG {
+		t.Fatal("SetBackend(auto) did not reset to wg")
 	}
 }
 
@@ -222,8 +222,8 @@ func TestClosureErrorParity(t *testing.T) {
 	})
 }
 
-// TestExecLaunchAllocs guards the scratch/engine pooling: after warm-up,
-// repeated sequential launches must not allocate per work-group (wiState,
+// TestExecLaunchAllocs guards the scratch pooling: after warm-up, repeated
+// launches must not allocate per work-group (wiState,
 // memTracker, locals and the closure context all come from the kernel's
 // scratch pool).
 func TestExecLaunchAllocs(t *testing.T) {
@@ -236,9 +236,7 @@ func TestExecLaunchAllocs(t *testing.T) {
 	c := make([]byte, 4*n*n)
 	args := []Arg{BufArg(a), BufArg(c), FloatArg(1.5), IntArg(m), IntArg(n)}
 	nd := NewNDRange2D(n, n, 4, 4)
-	defer SetWorkers(0)
 	for _, be := range []Backend{BackendInterp, BackendClosure, BackendWG} {
-		SetWorkers(1) // sequential path: the parallel engine's goroutines allocate by design
 		run := func() {
 			if _, err := k.ExecLaunch(nd, args, ExecOpts{Backend: be}); err != nil {
 				t.Fatal(err)

@@ -16,9 +16,11 @@ package vm
 // and register trajectories, so the min-pc policy is purely a locality
 // heuristic. Stats come out identical to the interpreter too: every counter
 // the banked steps touch is an order-independent sum, mask, or min/max —
-// except the memory-locality tracker, which is order-sensitive, so the
-// steps record each item's (memID, offset) stream in program order and the
-// phase end replays the streams through the ordinary memTracker in exactly
+// except the memory-locality tracker, which is order-sensitive. While the
+// phase is uniform the steps log each dynamic access as a column of n
+// offsets and fold it into the stats as the log fills; once items record
+// separately, each item's (memID, offset) stream is kept in program order
+// and the phase end replays it through the ordinary memTracker in exactly
 // the interpreter's per-item, per-warp call sequence.
 //
 // Error parity is by presence, not by text: all engines error on the same
@@ -56,7 +58,6 @@ type wmach struct {
 	tr     *memTracker
 	stat   Stats
 	st     *Stats
-	def    *DeferredWrites
 	undo   *UndoLog
 
 	maxSteps int64
@@ -74,7 +75,7 @@ type wmach struct {
 	lid2   []int64
 	steps  []int64 // per-item step budget
 
-	rec  [][]wgAcc // per-item (memID, off) streams for this phase
+	rec  [][]wgAcc // per-item (memID, off) streams since the phase left colMode
 	work []*wgSet
 	free []*wgSet
 
@@ -89,17 +90,20 @@ type wmach struct {
 	budgetScalar bool
 	stepsAll     int64
 	lastB        []int32 // transposed tracker: last offset per (memID, item)
-	seenB        []bool  // lastB validity per (memID, item)
+	seenB        []bool  // lastB validity per (memID, item); cleared per phase
 
-	// Columnar access log (wgfuse.go era). While colMode — the phase is
-	// still uniform, so every dispatch is the full group — each dynamic
-	// global access is recorded as one contiguous column of n offsets
+	// Streamed columnar access log. While colMode — the phase is still
+	// uniform, so every dispatch is the full group — each dynamic global
+	// access is recorded as one contiguous column of n offsets
 	// (colBuf[j*n:(j+1)*n], memID in colIDs[j]) instead of n per-item
-	// stream appends. replayCols consumes the columns directly with the
-	// replayFast math; colFlush transposes them into rec the moment any
-	// step needs per-item recording or the phase first partitions, so the
-	// invariant holds: colMode implies rec is empty and the columns, in
-	// order, are exactly every item's program-order access stream.
+	// stream appends. The next colReserve folds the completed columns into
+	// the locality stats (colFold) and reuses the buffer, so the log never
+	// holds more than one step's columns. colFlush folds and leaves
+	// columnar mode the moment any step needs per-item recording or the
+	// phase first partitions. Invariant: colMode implies rec is empty; the
+	// folded prefix plus the live columns, in order, are exactly every
+	// item's program-order access stream, and lastB/seenB hold each item's
+	// stride state after that prefix.
 	colMode bool
 	colIDs  []int32
 	colBuf  []int32
@@ -118,7 +122,7 @@ type wmach struct {
 // never retains buffers or stats beyond the work-group that used it.
 func (m *wmach) release() {
 	m.args, m.locals, m.tr, m.st = nil, nil, nil, nil
-	m.def, m.undo, m.err = nil, nil, nil
+	m.undo, m.err = nil, nil
 }
 
 // wmFor returns the scratch's lockstep machine sized and zeroed for one
@@ -262,8 +266,8 @@ func (m *wmach) popMin() *wgSet {
 }
 
 // recAcc records one global access of item t for the phase-end tracker
-// replay. Steps that record per item force the columnar log out first so
-// the per-item streams stay in program order.
+// replay. Steps that record per item leave columnar mode first, so each
+// stream holds exactly the item's accesses after the folded prefix.
 func (m *wmach) recAcc(t int32, id, off int32) {
 	if id >= 0 {
 		if m.colMode {
@@ -273,191 +277,155 @@ func (m *wmach) recAcc(t int32, id, off int32) {
 	}
 }
 
-// colReserve grows the columnar log by k columns in one step and returns
-// the index of the first. A caller holding several column subslices MUST
-// reserve them all in one call: a later growth can reallocate the backing
-// array, silently orphaning subslices taken before it (their writes would
-// land in the dead array and the live columns would replay as zeros).
-func (m *wmach) colReserve(k int) int {
-	n := m.n
-	j := len(m.colIDs)
-	need := (j + k) * n
+// colReserve folds the completed columns into the stats and reserves k
+// fresh ones at colBuf[0 : k*n]. A caller holding several column
+// subslices MUST reserve them all in one call: a later reservation folds
+// and reuses the buffer, so a subslice taken before it would be folded
+// unfilled and then overwritten.
+func (m *wmach) colReserve(k int) {
+	m.colFold()
+	need := k * m.n
 	if cap(m.colBuf) < need {
-		grown := make([]int32, need, need*2)
-		copy(grown, m.colBuf)
-		m.colBuf = grown
+		m.colBuf = make([]int32, need)
 	} else {
 		m.colBuf = m.colBuf[:need]
 	}
-	return j
 }
 
-// colFor appends a new access column for one dynamic global access of
+// colFor reserves a new access column for one dynamic global access of
 // memID id and returns its n-offset slice. Caller fills col[t] for every
 // item before reserving any further column; only valid while colMode.
 func (m *wmach) colFor(id int32) []int32 {
-	n := m.n
-	j := m.colReserve(1)
+	m.colReserve(1)
 	m.colIDs = append(m.colIDs, id)
-	return m.colBuf[j*n : (j+1)*n]
+	return m.colBuf[:m.n]
 }
 
-// colFor2 reserves two columns atomically so both subslices stay valid.
+// colFor2 reserves two columns in one call so both subslices stay valid.
 func (m *wmach) colFor2(id1, id2 int32) ([]int32, []int32) {
 	n := m.n
-	j := m.colReserve(2)
+	m.colReserve(2)
 	m.colIDs = append(m.colIDs, id1, id2)
-	return m.colBuf[j*n : (j+1)*n], m.colBuf[(j+1)*n : (j+2)*n]
+	return m.colBuf[:n], m.colBuf[n : 2*n]
 }
 
-// colFlush transposes the columnar log into the per-item rec streams and
-// leaves columnar mode. Because every access of the phase so far went to a
-// column, appending the columns in order reconstructs each item's exact
-// program-order stream.
-func (m *wmach) colFlush() {
+// colFold folds every logged column into SeqBytes, RandBytes and
+// WarpTransactions and empties the log. The phase is uniform, so the j-th
+// column is the same dynamic access — one memID, one occurrence index — of
+// every item's (identical, static) sequence. The CPU stride stats depend
+// only on each item's own stream (banked lastB/seenB state), and the warp
+// comparison of item t's occ-th access against item t-1's reduces to
+// comparing adjacent offsets of the column — so one pass per column
+// computes the memTracker's exact totals with no occurrence bookkeeping
+// and no per-memID offset lists.
+func (m *wmach) colFold() {
 	n := m.n
 	for j, id := range m.colIDs {
-		col := m.colBuf[j*n : j*n+n]
-		for t := 0; t < n; t++ {
-			m.rec[t] = append(m.rec[t], wgAcc{id: id, off: col[t]})
-		}
+		m.foldCol(id, m.colBuf[j*n:j*n+n])
 	}
 	m.colIDs = m.colIDs[:0]
 	m.colBuf = m.colBuf[:0]
+}
+
+// colFlush folds the columnar log and leaves columnar mode; the phase's
+// later accesses go to the per-item rec streams.
+func (m *wmach) colFlush() {
+	m.colFold()
 	m.colMode = false
 }
 
 // replay drives the recorded access streams through the memTracker in the
 // interpreter's exact order: items ascending, each opening a warp slot,
-// each stream in program order.
+// each stream in program order. The streams hold only the accesses after
+// the folded columnar prefix, so each item's tracker starts from its banked
+// stride state (lastB/seenB) and counts occurrences from 0. That is exact:
+// the prefix was uniform, so every item made the same number of accesses
+// per memID in it, and the warp comparison of item t's o-th suffix access
+// against item t-1's o-th suffix access is the comparison the full stream
+// makes at occurrence prefix+o.
 func (m *wmach) replay() {
-	for t := 0; t < m.n; t++ {
+	n := m.n
+	tr := m.tr
+	for t := 0; t < n; t++ {
 		first := t%warpSize == 0
-		m.tr.nextWI(first)
+		tr.nextWI(first)
+		for id := range tr.seen {
+			if m.seenB[id*n+t] {
+				tr.seen[id] = true
+				tr.last[id] = m.lastB[id*n+t]
+			}
+		}
 		for _, a := range m.rec[t] {
-			m.tr.access(a.id, a.off, first, m.st)
+			tr.access(a.id, a.off, first, m.st)
 		}
 		m.rec[t] = m.rec[t][:0]
 	}
 }
 
-// replayFast is the transposed replay for phases that never partitioned:
-// every item recorded the same static access sequence, so the j-th access
-// of every stream shares one memID and one occurrence index. The CPU
-// stride stats depend only on each item's own stream (banked last/seen
-// state), and the warp comparison of item t's occ-th access against item
-// t-1's reduces to comparing the j-th offsets of adjacent streams — so one
-// column-major pass computes the memTracker's exact totals with no
-// occurrence bookkeeping and no per-memID offset lists.
+// replayFast is the transposed replay for phases that never partitioned
+// but left columnar mode: every item recorded the same static access
+// sequence, so the j-th entries of the streams form one column (see
+// colFold), gathered into the idle column buffer and folded.
 func (m *wmach) replayFast() {
 	n := m.n
 	if n == 0 {
 		return
 	}
-	stream0 := m.rec[0]
-	for j := range stream0 {
-		id := int(stream0[j].id)
-		base := id * n
-		lastB := m.lastB[base : base+n]
-		seenB := m.seenB[base : base+n]
-		var seq, rand, warp int64
-		var prevOff int32
-		for t := 0; t < n; t++ {
-			off := m.rec[t][j].off
-			if seenB[t] {
-				d := off - lastB[t]
-				if d < 0 {
-					d = -d
-				}
-				if d <= cacheLineBytes {
-					seq++
-				} else {
-					rand++
-				}
-			} else {
-				rand++
-				seenB[t] = true
-			}
-			lastB[t] = off
-			if t%warpSize == 0 {
-				warp++
-			} else {
-				d := off - prevOff
-				if d < 0 {
-					d = -d
-				}
-				if d > 4 {
-					warp++
-				}
-			}
-			prevOff = off
+	col := growI32(m.colBuf, n)
+	for j, a := range m.rec[0] {
+		for t := range col {
+			col[t] = m.rec[t][j].off
 		}
-		m.st.SeqBytes += 4 * seq
-		m.st.RandBytes += 4 * rand
-		m.st.WarpTransactions += warp
+		m.foldCol(a.id, col)
 	}
+	m.colBuf = col[:0]
 	for t := 0; t < n; t++ {
 		m.rec[t] = m.rec[t][:0]
 	}
-	// The banked stride state is per phase, like the memTracker's
-	// (nextWI resets it for every item at each phase boundary).
-	clear(m.seenB)
 }
 
-// replayCols is replayFast over the columnar log: the phase never left
-// columnar mode, so the j-th column already is the j-th access of every
-// item's (identical, static) sequence — the transposed walk runs over the
-// contiguous column instead of indirecting through n per-item slices.
-func (m *wmach) replayCols() {
+// foldCol folds one column of memID id — col[t] is item t's offset — into
+// the locality stats, advancing the banked stride state.
+func (m *wmach) foldCol(id int32, col []int32) {
 	n := m.n
-	if n == 0 {
-		return
-	}
-	for j, idv := range m.colIDs {
-		id := int(idv)
-		base := id * n
-		lastB := m.lastB[base : base+n]
-		seenB := m.seenB[base : base+n]
-		col := m.colBuf[j*n : j*n+n]
-		var seq, rand, warp int64
-		var prevOff int32
-		for t := 0; t < n; t++ {
-			off := col[t]
-			if seenB[t] {
-				d := off - lastB[t]
-				if d < 0 {
-					d = -d
-				}
-				if d <= cacheLineBytes {
-					seq++
-				} else {
-					rand++
-				}
+	base := int(id) * n
+	lastB := m.lastB[base : base+n]
+	seenB := m.seenB[base : base+n]
+	col = col[:n]
+	var seq, rand, warp int64
+	var prevOff int32
+	for t, off := range col {
+		if seenB[t] {
+			d := off - lastB[t]
+			if d < 0 {
+				d = -d
+			}
+			if d <= cacheLineBytes {
+				seq++
 			} else {
 				rand++
-				seenB[t] = true
 			}
-			lastB[t] = off
-			if t%warpSize == 0 {
-				warp++
-			} else {
-				d := off - prevOff
-				if d < 0 {
-					d = -d
-				}
-				if d > 4 {
-					warp++
-				}
-			}
-			prevOff = off
+		} else {
+			rand++
+			seenB[t] = true
 		}
-		m.st.SeqBytes += 4 * seq
-		m.st.RandBytes += 4 * rand
-		m.st.WarpTransactions += warp
+		lastB[t] = off
+		if t%warpSize == 0 {
+			warp++
+		} else {
+			d := off - prevOff
+			if d < 0 {
+				d = -d
+			}
+			if d > 4 {
+				warp++
+			}
+		}
+		prevOff = off
 	}
-	m.colIDs = m.colIDs[:0]
-	m.colBuf = m.colBuf[:0]
-	clear(m.seenB)
+	m.st.SeqBytes += 4 * seq
+	m.st.RandBytes += 4 * rand
+	m.st.WarpTransactions += warp
 }
 
 // execWGLockstep executes one certified work-group on the lockstep engine.
@@ -476,7 +444,7 @@ func (k *Kernel) execWGLockstep(nd NDRange, group [3]int, args []Arg, opts ExecO
 	m.tr = sc.trackerFor(k)
 	m.stat = Stats{WorkGroups: 1, WorkItems: nWI}
 	m.st = &m.stat
-	m.def, m.undo = opts.Def, opts.Undo
+	m.undo = opts.Undo
 	m.maxSteps = maxSteps
 	m.fuse = WGFuseEnabled()
 
@@ -643,15 +611,17 @@ func (m *wmach) runGroup() error {
 			m.err = &execError{k.Name, m.barrierPC, "work-items diverged to different barriers"}
 			return m.err
 		}
-		if m.uniform {
-			if m.colMode {
-				m.replayCols()
-			} else {
-				m.replayFast()
-			}
-		} else {
+		switch {
+		case m.colMode:
+			m.colFold()
+		case m.uniform:
+			m.replayFast()
+		default:
 			m.replay()
 		}
+		// The banked stride state is per phase, like the memTracker's
+		// (nextWI resets it for every item at each phase boundary).
+		clear(m.seenB)
 		if m.parked == 0 {
 			return nil
 		}

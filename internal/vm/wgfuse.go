@@ -377,7 +377,7 @@ func (k *Kernel) wgfuseMacBody(blk *wblock, liveI, liveF uint64) wstep {
 	seed, accR := int(fmv.B), int(fad.A)
 	unfused := blk.steps
 	return func(m *wmach, set []int32) bool {
-		if !m.full || m.def != nil {
+		if !m.full {
 			return runSteps(m, set, unfused)
 		}
 		n := m.n
@@ -391,8 +391,8 @@ func (k *Kernel) wgfuseMacBody(blk *wblock, liveI, liveF uint64) wstep {
 		var col1, col2 []int32
 		rec := m.rec
 		if m.colMode {
-			// Both columns must be reserved in one step: a second colFor
-			// growth could reallocate the log and orphan the first subslice.
+			// Both columns must be reserved in one call: a second colFor
+			// would fold and reuse the first subslice before it is filled.
 			switch {
 			case mem1 >= 0 && mem2 >= 0:
 				col1, col2 = m.colFor2(mem1, mem2)
@@ -525,7 +525,7 @@ func (k *Kernel) wgfuseDotPair(blk *wblock, liveI, liveF uint64) wstep {
 	kname := k.Name
 	unfused := blk.steps
 	return func(m *wmach, set []int32) bool {
-		if !m.full || m.def != nil {
+		if !m.full {
 			return runSteps(m, set, unfused)
 		}
 		n := m.n
@@ -542,16 +542,17 @@ func (k *Kernel) wgfuseDotPair(blk *wblock, liveI, liveF uint64) wstep {
 		var colA1, colX1, colA2, colX2 []int32
 		rec := m.rec
 		if m.colMode {
-			// Reserve all four columns in one growth step; incremental
-			// colFor calls could reallocate the log and orphan earlier
-			// subslices.
+			// Reserve all four columns in one call; incremental colFor
+			// calls would fold and reuse earlier subslices before they
+			// are filled.
 			nCols := 0
 			for _, id := range [4]int32{d1.memA, d1.memX, d2.memA, d2.memX} {
 				if id >= 0 {
 					nCols++
 				}
 			}
-			j := m.colReserve(nCols)
+			m.colReserve(nCols)
+			j := 0
 			take := func(id int32) []int32 {
 				m.colIDs = append(m.colIDs, id)
 				c := m.colBuf[j*n : (j+1)*n]
@@ -657,7 +658,7 @@ func (k *Kernel) wgfuseScatter(blk *wblock, liveI, liveF uint64) wstep {
 	bits := math.Float32bits(float32(ldf.FImm))
 	unfused := blk.steps
 	return func(m *wmach, set []int32) bool {
-		if !m.full || m.def != nil {
+		if !m.full {
 			return runSteps(m, set, unfused)
 		}
 		n := m.n
@@ -732,7 +733,7 @@ func (k *Kernel) wgfuseStoreTail(blk *wblock, liveI, liveF uint64) wstep {
 	src := int(fmv.B)
 	unfused := blk.steps
 	return func(m *wmach, set []int32) bool {
-		if !m.full || m.def != nil {
+		if !m.full {
 			return runSteps(m, set, unfused)
 		}
 		n := m.n
