@@ -236,6 +236,10 @@ type wallEntry struct {
 	WGFusedBlocks       int64 `json:"wg_fused_blocks,omitempty"`
 	WGFusedSteps        int64 `json:"wg_fused_steps,omitempty"`
 	WGFuseFallbackSteps int64 `json:"wg_fuse_fallback_steps,omitempty"`
+	// Group-uniform work done once per group (DESIGN.md S21): steps run on
+	// the scalar register file, and access columns folded as a shift.
+	WGScalarSteps int64 `json:"wg_scalar_steps,omitempty"`
+	WGFoldShifted int64 `json:"wg_fold_shifted,omitempty"`
 	// Strided-certificate activity: launches whose CPU work-group splitting
 	// was un-vetoed by the disjointness certificate, work-groups the
 	// certificate admitted to the lockstep engine, and the per-reason
@@ -284,6 +288,8 @@ func newWallEntry(id string, wall float64, c core.Counters, s trace.GlobalSummar
 		WGFusedBlocks:       c.WGFusedBlocks,
 		WGFusedSteps:        c.WGFusedSteps,
 		WGFuseFallbackSteps: c.WGFuseFallbackSteps,
+		WGScalarSteps:       c.WGScalarSteps,
+		WGFoldShifted:       c.WGFoldShifted,
 		SplitsUnvetoed:      c.SplitsUnvetoed,
 		WGStridedWGs:        c.WGStridedWGs,
 		WGCertRejShape:      c.WGCertRejShape,

@@ -78,6 +78,12 @@ type Counters struct {
 	WGFusedBlocks       int64
 	WGFusedSteps        int64
 	WGFuseFallbackSteps int64
+
+	// Group-uniform work the wg engine did once (vm.BackendCounters):
+	// step dispatches run on the scalar register file, and access columns
+	// folded as a uniform shift of the previous one.
+	WGScalarSteps int64
+	WGFoldShifted int64
 }
 
 // globalCounters accumulates across every Runtime in the process, so
@@ -117,6 +123,8 @@ func CounterSnapshot() Counters {
 		WGFusedBlocks:       b.WGFusedBlocks,
 		WGFusedSteps:        b.WGFusedSteps,
 		WGFuseFallbackSteps: b.WGFuseFallbackSteps,
+		WGScalarSteps:       b.WGScalarSteps,
+		WGFoldShifted:       b.WGFoldShifted,
 	}
 }
 
@@ -150,6 +158,8 @@ func (c Counters) Sub(o Counters) Counters {
 		WGFusedBlocks:       c.WGFusedBlocks - o.WGFusedBlocks,
 		WGFusedSteps:        c.WGFusedSteps - o.WGFusedSteps,
 		WGFuseFallbackSteps: c.WGFuseFallbackSteps - o.WGFuseFallbackSteps,
+		WGScalarSteps:       c.WGScalarSteps - o.WGScalarSteps,
+		WGFoldShifted:       c.WGFoldShifted - o.WGFoldShifted,
 	}
 }
 

@@ -135,6 +135,11 @@ var backendCtr struct {
 	wgFusedBlocks       atomic.Int64
 	wgFusedSteps        atomic.Int64
 	wgFuseFallbackSteps atomic.Int64
+
+	// Group-uniform work done once (wgscalar.go, foldCol), tallied per
+	// work-group and added at its end.
+	wgScalarSteps atomic.Int64
+	wgFoldShifted atomic.Int64
 }
 
 // BackendCounters is a snapshot of process-wide backend activity.
@@ -174,6 +179,14 @@ type BackendCounters struct {
 	WGFusedBlocks       int64
 	WGFusedSteps        int64
 	WGFuseFallbackSteps int64
+
+	// WGScalarSteps counts step dispatches the lockstep engine ran once on
+	// its scalar register file instead of once per work-item;
+	// WGFoldShifted counts access columns the locality fold charged from
+	// the previous column's cached totals because the column was that one
+	// shifted by a uniform delta. Both are dynamic, summed per work-group.
+	WGScalarSteps int64
+	WGFoldShifted int64
 }
 
 // WGRejectNames returns the reason name for each WGRejects index.
@@ -195,6 +208,8 @@ func BackendSnapshot() BackendCounters {
 		WGFusedBlocks:       backendCtr.wgFusedBlocks.Load(),
 		WGFusedSteps:        backendCtr.wgFusedSteps.Load(),
 		WGFuseFallbackSteps: backendCtr.wgFuseFallbackSteps.Load(),
+		WGScalarSteps:       backendCtr.wgScalarSteps.Load(),
+		WGFoldShifted:       backendCtr.wgFoldShifted.Load(),
 	}
 	for i := range bc.WGRejects {
 		bc.WGRejects[i] = backendCtr.wgRej[i].Load()

@@ -31,8 +31,9 @@ import (
 // The certificate depends only on (dims, local size, num groups, scalar
 // argument values), so it is cached per pooled scratch under that key.
 // Buffer aliasing — two arguments backed by the same storage — would defeat
-// the disjointness argument and is re-checked per work-group against the
-// actual argument list, mirroring the launch engine's identity check.
+// the disjointness argument and is not part of that key, so wgCertified
+// re-checks it for every work-group by comparing the first-byte addresses
+// of the actual buffer arguments, and rejects aliased launches (WGRejAlias).
 
 // aval is the abstract value of one integer register: TOP (unknown) or an
 // affine form over {1, lid0, lid1, lid2, grp0, grp1, grp2}.

@@ -16,12 +16,30 @@ package vm
 // and register trajectories, so the min-pc policy is purely a locality
 // heuristic. Stats come out identical to the interpreter too: every counter
 // the banked steps touch is an order-independent sum, mask, or min/max —
-// except the memory-locality tracker, which is order-sensitive. While the
-// phase is uniform the steps log each dynamic access as a column of n
-// offsets and fold it into the stats as the log fills; once items record
-// separately, each item's (memID, offset) stream is kept in program order
-// and the phase end replays it through the ordinary memTracker in exactly
-// the interpreter's per-item, per-warp call sequence.
+// except the memory-locality tracker, which is order-sensitive.
+//
+// Group-uniform work is done once while the phase is uniform (DESIGN.md
+// S21), in two places:
+//
+//   - Scalar register file (wgscalar.go). Registers every item holds the
+//     same value for keep one scalar copy with a valid mask. A step of
+//     ALU, move, immediate and launch-query ops whose inputs are all valid
+//     runs once on the scalars and charges its Stats n times; its results
+//     stay stale (unwritten) in the banks until a banked step reads them.
+//     Banked steps, fused closures included, invalidate what they write.
+//     A conditional branch on a valid scalar moves the whole set without
+//     scanning the condition bank, and the first partition of a phase
+//     flushes every stale scalar, so divergent sets only ever read banks.
+//   - Streamed locality fold. While the phase is uniform the steps log each
+//     dynamic global access as a column of n offsets and fold it into the
+//     stats as the log fills (foldCol). A column that is its memID's
+//     previous column shifted by one uniform delta is charged from that
+//     delta and the cached warp count of the previous column, since a
+//     uniform shift changes no item's stride class and no adjacent
+//     difference. Once items record separately, each item's (memID, offset)
+//     stream is kept in program order and the phase end replays it through
+//     the ordinary memTracker in exactly the interpreter's per-item,
+//     per-warp call sequence.
 //
 // Error parity is by presence, not by text: all engines error on the same
 // launches (each item's trace, including its step budget, is identical),
@@ -90,7 +108,12 @@ type wmach struct {
 	budgetScalar bool
 	stepsAll     int64
 	lastB        []int32 // transposed tracker: last offset per (memID, item)
-	seenB        []bool  // lastB validity per (memID, item); cleared per phase
+	// seenM marks the memIDs whose lastB row is valid, and warpM caches the
+	// warp transactions of the column in that row (foldCol); both belong to
+	// the phase and are reset at its end. Columns are folded only while
+	// every item has made the same accesses, so validity is per memID.
+	seenM []bool
+	warpM []int64
 
 	// Streamed columnar access log. While colMode — the phase is still
 	// uniform, so every dispatch is the full group — each dynamic global
@@ -102,7 +125,7 @@ type wmach struct {
 	// columnar mode the moment any step needs per-item recording or the
 	// phase first partitions. Invariant: colMode implies rec is empty; the
 	// folded prefix plus the live columns, in order, are exactly every
-	// item's program-order access stream, and lastB/seenB hold each item's
+	// item's program-order access stream, and lastB/seenM hold each item's
 	// stride state after that prefix.
 	colMode bool
 	colIDs  []int32
@@ -111,6 +134,21 @@ type wmach struct {
 	// fuse selects the fused block closures (wgfuse.go) for this group;
 	// resolved once at group entry from the FLUIDICL_WG_FUSE knob.
 	fuse bool
+
+	// Scalar register file (wgscalar.go): si/sf hold one copy of each
+	// group-uniform register, iv/fv mark the valid copies and is/fs the
+	// valid ones whose banks are stale. plan is the step plan of kernel
+	// planK, built when this machine first runs it (nil: all-banked).
+	si     []int64
+	sf     []float64
+	iv, fv uint64
+	is, fs uint64
+	plan   *wgPlan
+	planK  *Kernel
+
+	// Coverage tallies, added to the process counters once per group.
+	scalarSteps int64
+	foldShifted int64
 
 	parked    int
 	done      int
@@ -162,7 +200,8 @@ func (s *wgScratch) wmFor(k *Kernel, n int) *wmach {
 		m.rec[t] = m.rec[t][:0]
 	}
 	m.lastB = growI32(m.lastB, k.NumMemOps*n)
-	m.seenB = sizedBool(m.seenB, k.NumMemOps*n)
+	m.seenM = sizedBool(m.seenM, k.NumMemOps)
+	m.warpM = growI64(m.warpM, k.NumMemOps)
 	m.free = append(m.free, m.work...)
 	m.work = m.work[:0]
 	m.parked, m.done = 0, 0
@@ -313,7 +352,7 @@ func (m *wmach) colFor2(id1, id2 int32) ([]int32, []int32) {
 // WarpTransactions and empties the log. The phase is uniform, so the j-th
 // column is the same dynamic access — one memID, one occurrence index — of
 // every item's (identical, static) sequence. The CPU stride stats depend
-// only on each item's own stream (banked lastB/seenB state), and the warp
+// only on each item's own stream (banked lastB/seenM state), and the warp
 // comparison of item t's occ-th access against item t-1's reduces to
 // comparing adjacent offsets of the column — so one pass per column
 // computes the memTracker's exact totals with no occurrence bookkeeping
@@ -338,7 +377,7 @@ func (m *wmach) colFlush() {
 // interpreter's exact order: items ascending, each opening a warp slot,
 // each stream in program order. The streams hold only the accesses after
 // the folded columnar prefix, so each item's tracker starts from its banked
-// stride state (lastB/seenB) and counts occurrences from 0. That is exact:
+// stride state (lastB/seenM) and counts occurrences from 0. That is exact:
 // the prefix was uniform, so every item made the same number of accesses
 // per memID in it, and the warp comparison of item t's o-th suffix access
 // against item t-1's o-th suffix access is the comparison the full stream
@@ -349,8 +388,8 @@ func (m *wmach) replay() {
 	for t := 0; t < n; t++ {
 		first := t%warpSize == 0
 		tr.nextWI(first)
-		for id := range tr.seen {
-			if m.seenB[id*n+t] {
+		for id, seen := range m.seenM {
+			if seen {
 				tr.seen[id] = true
 				tr.last[id] = m.lastB[id*n+t]
 			}
@@ -386,16 +425,37 @@ func (m *wmach) replayFast() {
 
 // foldCol folds one column of memID id — col[t] is item t's offset — into
 // the locality stats, advancing the banked stride state.
+//
+// When the column is the memID's previous column shifted by one uniform
+// delta d, every item's stride is d, and the column's adjacent differences
+// — hence its warp transactions — equal the previous column's, so the
+// stats come from |d| and the cached warp count instead of a per-item pass.
 func (m *wmach) foldCol(id int32, col []int32) {
 	n := m.n
 	base := int(id) * n
 	lastB := m.lastB[base : base+n]
-	seenB := m.seenB[base : base+n]
 	col = col[:n]
+	st := m.st
+	seen := m.seenM[id]
+	if seen && shiftedCol(col, lastB) {
+		d := col[0] - lastB[0]
+		if d < 0 {
+			d = -d
+		}
+		if d <= cacheLineBytes {
+			st.SeqBytes += 4 * int64(n)
+		} else {
+			st.RandBytes += 4 * int64(n)
+		}
+		st.WarpTransactions += m.warpM[id]
+		copy(lastB, col)
+		m.foldShifted++
+		return
+	}
 	var seq, rand, warp int64
 	var prevOff int32
 	for t, off := range col {
-		if seenB[t] {
+		if seen {
 			d := off - lastB[t]
 			if d < 0 {
 				d = -d
@@ -407,7 +467,6 @@ func (m *wmach) foldCol(id int32, col []int32) {
 			}
 		} else {
 			rand++
-			seenB[t] = true
 		}
 		lastB[t] = off
 		if t%warpSize == 0 {
@@ -423,9 +482,23 @@ func (m *wmach) foldCol(id int32, col []int32) {
 		}
 		prevOff = off
 	}
-	m.st.SeqBytes += 4 * seq
-	m.st.RandBytes += 4 * rand
-	m.st.WarpTransactions += warp
+	m.seenM[id] = true
+	m.warpM[id] = warp
+	st.SeqBytes += 4 * seq
+	st.RandBytes += 4 * rand
+	st.WarpTransactions += warp
+}
+
+// shiftedCol reports whether col[t] - last[t] is the same for every t.
+func shiftedCol(col, last []int32) bool {
+	last = last[:len(col)]
+	d := col[0] - last[0]
+	for t, off := range col {
+		if off-last[t] != d {
+			return false
+		}
+	}
+	return true
 }
 
 // execWGLockstep executes one certified work-group on the lockstep engine.
@@ -447,8 +520,18 @@ func (k *Kernel) execWGLockstep(nd NDRange, group [3]int, args []Arg, opts ExecO
 	m.undo = opts.Undo
 	m.maxSteps = maxSteps
 	m.fuse = WGFuseEnabled()
+	if m.planK != k {
+		m.plan, m.planK = k.buildScalarPlan(), k
+	}
+	m.scalarSteps, m.foldShifted = 0, 0
 
 	err := m.runGroup()
+	if m.scalarSteps != 0 {
+		backendCtr.wgScalarSteps.Add(m.scalarSteps)
+	}
+	if m.foldShifted != 0 {
+		backendCtr.wgFoldShifted.Add(m.foldShifted)
+	}
 	st := m.stat
 	m.release()
 	return st, err
@@ -481,6 +564,13 @@ func (m *wmach) runGroup() error {
 				bank[t] = v
 			}
 		}
+	}
+	plan := m.plan
+	if wgNoScalar.Load() {
+		plan = nil
+	}
+	if plan != nil {
+		m.scalarReset()
 	}
 
 	entry := 0
@@ -526,10 +616,36 @@ func (m *wmach) runGroup() error {
 				}
 			}
 			steps := blk.steps
-			if m.fuse && blk.fsteps != nil {
+			fused := m.fuse && blk.fsteps != nil
+			if fused {
 				steps = blk.fsteps
 			}
-			for _, stp := range steps {
+			var sps []wgStepPlan
+			if plan != nil {
+				sps = plan.blockSteps(blk, fused)
+			}
+			for i, stp := range steps {
+				if sps != nil {
+					sp := &sps[i]
+					if m.full {
+						if sp.scalar && sp.iu&^m.iv == 0 && sp.fu&^m.fv == 0 {
+							m.execScalar(k.Code[sp.pc0:sp.pc1])
+							m.iv |= sp.id
+							m.is |= sp.id
+							m.fv |= sp.fd
+							m.fs |= sp.fd
+							m.scalarSteps++
+							continue
+						}
+						if im, fm := sp.iu&m.is, sp.fu&m.fs; im|fm != 0 {
+							m.materialize(im, fm)
+						}
+					}
+					m.iv &^= sp.id
+					m.is &^= sp.id
+					m.fv &^= sp.fd
+					m.fs &^= sp.fd
+				}
 				if !stp(m, s.items) {
 					m.freeSet(s)
 					return m.err
@@ -545,8 +661,19 @@ func (m *wmach) runGroup() error {
 				m.push(s)
 			case wtCond:
 				m.stat.Branches += int64(len(s.items))
-				base := int(blk.term.condReg) * n
+				cr := blk.term.condReg
 				jz := blk.term.jz
+				if m.full && plan != nil && m.iv&(1<<uint(cr)) != 0 {
+					// Scalar branch: the condition is group-uniform.
+					if (m.si[cr] == 0) == jz {
+						s.pc = blk.term.tgt
+					} else {
+						s.pc = blk.term.next
+					}
+					m.push(s)
+					break
+				}
+				base := int(cr) * n
 				ib := m.ib
 				if m.full {
 					// Dynamic uniformity scan: when the whole group agrees
@@ -584,9 +711,14 @@ func (m *wmach) runGroup() error {
 						fall.items = append(fall.items, t)
 					}
 				}
-				if len(taken.items) > 0 && len(fall.items) > 0 {
+				if len(taken.items) > 0 && len(fall.items) > 0 && m.uniform {
+					// First partition of the phase: divergent sets run
+					// banked, so every stale scalar goes to its bank now.
 					if m.colMode {
 						m.colFlush()
+					}
+					if plan != nil {
+						m.flushScalars()
 					}
 					m.uniform = false
 				}
@@ -619,9 +751,10 @@ func (m *wmach) runGroup() error {
 		default:
 			m.replay()
 		}
-		// The banked stride state is per phase, like the memTracker's
-		// (nextWI resets it for every item at each phase boundary).
-		clear(m.seenB)
+		// The banked stride state and the fold cache are per phase, like
+		// the memTracker's (nextWI resets it for every item at each phase
+		// boundary).
+		clear(m.seenM)
 		if m.parked == 0 {
 			return nil
 		}

@@ -176,7 +176,7 @@ func TestWGFoldLongLoopThenPartition(t *testing.T) {
 	const n, m = 64, 40
 	nd := NewNDRange1D(n*2, n)
 	mk := foldArgs(2*n, m, false, 1)
-	runFoldParity(t, foldLongLoopSrc, "longloop", nd, mk)
+	runScalarParity(t, foldLongLoopSrc, "longloop", nd, mk)
 	k := MustCompile(foldLongLoopSrc, "longloop")
 	if colMode, uniform := foldState(t, k, nd, mk()); colMode || uniform {
 		t.Fatalf("phase ended colMode=%v uniform=%v; want a mid-phase partition", colMode, uniform)
@@ -187,7 +187,7 @@ func TestWGFoldForcedPerItemRecording(t *testing.T) {
 	const n, m = 64, 24
 	nd := NewNDRange1D(n*2, n)
 	mk := foldArgs(2*n, m, true, 0)
-	runFoldParity(t, foldRecSrc, "halfrec", nd, mk)
+	runScalarParity(t, foldRecSrc, "halfrec", nd, mk)
 
 	// Without the trailing branch the phase stays uniform after leaving
 	// columnar mode: the transposed replay of the suffix.
@@ -202,7 +202,7 @@ __kernel void halfrec(__global float* a, __global int* idx, __global float* b, i
     a[i] = s;
 }
 `
-	runFoldParity(t, noBranch, "halfrec", nd, mk)
+	runScalarParity(t, noBranch, "halfrec", nd, mk)
 	k := MustCompile(noBranch, "halfrec")
 	if colMode, uniform := foldState(t, k, nd, mk()); colMode || !uniform {
 		t.Fatalf("phase ended colMode=%v uniform=%v; want per-item recording in a uniform phase", colMode, uniform)
@@ -213,7 +213,7 @@ func TestWGFoldMultiPhaseBarrier(t *testing.T) {
 	const n, m = 64, 6
 	nd := NewNDRange1D(n*2, n)
 	mk := foldArgs(2*n, m, false, 0)
-	runFoldParity(t, foldBarrierSrc, "phases", nd, mk)
+	runScalarParity(t, foldBarrierSrc, "phases", nd, mk)
 	// Cross-check the barrier kernel's buffers on the closure engine too,
 	// since RefExec cannot run it.
 	k := MustCompile(foldBarrierSrc, "phases")

@@ -815,21 +815,73 @@ func (k *Kernel) wstepSlab(pc int, in Instr, priv bool) wstep {
 	}
 }
 
+// Superinstruction shapes recognised by wsuperShape, in match order
+// (longest first); wsuperLen gives the instructions each consumes.
+const (
+	wsNone = iota
+	wsAffLoadMulAdd
+	wsAffLoadMul
+	wsAffLoad
+	wsAff
+	wsInc
+	wsLdiGidMov
+	wsLdiGid
+	wsLoadFMul
+	wsFMulFAdd
+	wsFAddStore
+	wsFMulStore
+	wsMovMovCmp
+)
+
+var wsuperLen = [...]int{0, 8, 7, 6, 5, 4, 3, 2, 2, 2, 2, 2, 3}
+
+// wsuperShape matches the superinstruction patterns at pc within [pc, end).
+// The step builder (matchWSuper) and the scalar plan (wgscalar.go) share it,
+// so both segment a block body into the same steps.
+func (k *Kernel) wsuperShape(pc, end int) int {
+	switch {
+	case k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDGF, opFMUL, opFADD):
+		return wsAffLoadMulAdd
+	case k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDGF, opFMUL):
+		return wsAffLoadMul
+	case k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDGF),
+		k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDGI):
+		return wsAffLoad
+	case k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD):
+		return wsAff
+	case k.opsAt(pc, end, opIMOV, opLDI, opIADD, opIMOV):
+		return wsInc
+	case k.opsAt(pc, end, opLDI, opGID, opIMOV):
+		return wsLdiGidMov
+	case k.opsAt(pc, end, opLDI, opGID):
+		return wsLdiGid
+	case k.opsAt(pc, end, opLDGF, opFMUL):
+		return wsLoadFMul
+	case k.opsAt(pc, end, opFMUL, opFADD):
+		return wsFMulFAdd
+	case k.opsAt(pc, end, opFADD, opSTGF):
+		return wsFAddStore
+	case k.opsAt(pc, end, opFMUL, opSTGF):
+		return wsFMulStore
+	case k.opsAt(pc, end, opIMOV, opIMOV) && pc+2 < end && isIntCmp(k.Code[pc+2].Op):
+		return wsMovMovCmp
+	}
+	return wsNone
+}
+
 // matchWSuper is matchSuper's banked twin: the same opcode-shape patterns,
 // fused into single set-looping steps. It returns the fused wstep and the
 // number of instructions consumed.
 func (k *Kernel) matchWSuper(pc, end int) (wstep, int) {
 	code := k.Code
-	switch {
-	case k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDGF, opFMUL, opFADD):
+	switch k.wsuperShape(pc, end) {
+	case wsAffLoadMulAdd:
 		return k.wsuperAffLoad(pc, true, true), 8
-	case k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDGF, opFMUL):
+	case wsAffLoadMul:
 		return k.wsuperAffLoad(pc, true, false), 7
-	case k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDGF):
+	case wsAffLoad:
 		return k.wsuperAffLoad(pc, false, false), 6
-	case k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD, opLDGI):
-		return k.wsuperAffLoad(pc, false, false), 6
-	case k.opsAt(pc, end, opIMOV, opIMOV, opIMUL, opIMOV, opIADD):
+	case wsAff:
 		i0, i1, mul, i3, add := code[pc], code[pc+1], code[pc+2], code[pc+3], code[pc+4]
 		a0, b0, a1, b1 := int(i0.A), int(i0.B), int(i1.A), int(i1.B)
 		ma, mb, mc := int(mul.A), int(mul.B), int(mul.C)
@@ -865,7 +917,7 @@ func (k *Kernel) matchWSuper(pc, end int) (wstep, int) {
 			m.st.IntOps += 2 * int64(len(set))
 			return true
 		}, 5
-	case k.opsAt(pc, end, opIMOV, opLDI, opIADD, opIMOV):
+	case wsInc:
 		i0, ldi, add, i3 := code[pc], code[pc+1], code[pc+2], code[pc+3]
 		a0, b0 := int(i0.A), int(i0.B)
 		la, imm := int(ldi.A), ldi.IImm
@@ -898,7 +950,7 @@ func (k *Kernel) matchWSuper(pc, end int) (wstep, int) {
 			m.st.IntOps += int64(len(set))
 			return true
 		}, 4
-	case k.opsAt(pc, end, opLDI, opGID, opIMOV):
+	case wsLdiGidMov:
 		ldi, gid, mov := code[pc], code[pc+1], code[pc+2]
 		la, imm := int(ldi.A), ldi.IImm
 		ga, gb := int(gid.A), int(gid.B)
@@ -925,7 +977,7 @@ func (k *Kernel) matchWSuper(pc, end int) (wstep, int) {
 			m.st.IntOps += int64(len(set))
 			return true
 		}, 3
-	case k.opsAt(pc, end, opLDI, opGID):
+	case wsLdiGid:
 		ldi, gid := code[pc], code[pc+1]
 		la, imm := int(ldi.A), ldi.IImm
 		ga, gb := int(gid.A), int(gid.B)
@@ -950,9 +1002,9 @@ func (k *Kernel) matchWSuper(pc, end int) (wstep, int) {
 			m.st.IntOps += int64(len(set))
 			return true
 		}, 2
-	case k.opsAt(pc, end, opLDGF, opFMUL):
+	case wsLoadFMul:
 		return k.wsuperLoadFMul(pc), 2
-	case k.opsAt(pc, end, opFMUL, opFADD):
+	case wsFMulFAdd:
 		fm, fa2 := code[pc], code[pc+1]
 		ma, mb, mc := int(fm.A), int(fm.B), int(fm.C)
 		aa, ab, ac := int(fa2.A), int(fa2.B), int(fa2.C)
@@ -977,7 +1029,7 @@ func (k *Kernel) matchWSuper(pc, end int) (wstep, int) {
 			m.st.FloatOps += 2 * int64(len(set))
 			return true
 		}, 2
-	case k.opsAt(pc, end, opFADD, opSTGF):
+	case wsFAddStore:
 		fa2 := code[pc]
 		aa, ab, ac := int(fa2.A), int(fa2.B), int(fa2.C)
 		st := k.buildWStep(pc + 1)
@@ -999,7 +1051,7 @@ func (k *Kernel) matchWSuper(pc, end int) (wstep, int) {
 			m.st.FloatOps += int64(len(set))
 			return st(m, set)
 		}, 2
-	case k.opsAt(pc, end, opFMUL, opSTGF):
+	case wsFMulStore:
 		fm := code[pc]
 		ma, mb, mc := int(fm.A), int(fm.B), int(fm.C)
 		st := k.buildWStep(pc + 1)
@@ -1021,7 +1073,7 @@ func (k *Kernel) matchWSuper(pc, end int) (wstep, int) {
 			m.st.FloatOps += int64(len(set))
 			return st(m, set)
 		}, 2
-	case k.opsAt(pc, end, opIMOV, opIMOV) && pc+2 < end && isIntCmp(code[pc+2].Op):
+	case wsMovMovCmp:
 		m0, m1, cmp := code[pc], code[pc+1], code[pc+2]
 		a0, b0, a1, b1 := int(m0.A), int(m0.B), int(m1.A), int(m1.B)
 		ca, cb, cc := int(cmp.A), int(cmp.B), int(cmp.C)
